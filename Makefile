@@ -1,5 +1,5 @@
 .PHONY: all build test bench bench-full bench-smoke lint mutaudit check examples clean smoke \
-	trace-smoke serve-smoke corpus-smoke calibrate
+	trace-smoke serve-smoke corpus-smoke cold-smoke calibrate
 
 all: build
 
@@ -49,6 +49,13 @@ serve-smoke:
 corpus-smoke:
 	./scripts/corpus_smoke.sh
 
+# Cold-path gate: pack auction:30000, require `xqp query --json` over the
+# .xqdb to answer every workload text exactly as over the XML, and require
+# a store with one flipped structure bit to be refused with a "corrupt"
+# error (non-zero exit, no uncaught exception, no answer).
+cold-smoke:
+	./scripts/cold_smoke.sh
+
 # Estimated vs actual cardinality (q-error) per workload query. The gate
 # fails if any downward-only query — the ones the path summary answers
 # with exact path counts — drifts past q-error 1.1.
@@ -69,7 +76,7 @@ lint:
 mutaudit:
 	dune exec --no-print-directory scripts/mutaudit.exe -- --strict lib
 
-check: build test lint mutaudit bench-smoke trace-smoke serve-smoke corpus-smoke calibrate
+check: build test lint mutaudit bench-smoke trace-smoke serve-smoke corpus-smoke cold-smoke calibrate
 
 examples:
 	dune exec examples/quickstart.exe

@@ -36,26 +36,43 @@ let load_document ~file ~gen =
       (path
      ^ ": is a corpus catalog (.xqdbc); this command operates on a single document — query, \
         serve and explain accept catalogs, or open one shard's .xqdb directly")
-  | Some path, None ->
-    if Filename.check_suffix path ".xqdb" then
-      (* a saved succinct store: rebuild the packed document from it *)
-      Document.of_tree (Xqp_storage.Succinct_store.to_tree (Xqp_storage.Store_io.load path))
-    else Document.of_tree (Xml_parser.parse_file ~strip:true path)
+  | Some path, None -> Document.of_tree (Xml_parser.parse_file ~strip:true path)
   | None, Some spec -> generated_document spec
   | Some _, Some _ -> failwith "give either --file or --gen, not both"
   | None, None -> failwith "a document is required: --file FILE or --gen SPEC"
 
+let is_store_path path = Filename.check_suffix path ".xqdb"
+
+(* An executor over the source: a saved succinct store opens in one pass
+   (document, store and statistics straight from its packed sections);
+   XML and generated documents are packed, their artifacts built lazily.
+   A store that cannot be opened ends the command with its message. *)
+let load_executor ?pager ~file ~gen () =
+  match (file, gen) with
+  | Some path, None when is_store_path path -> (
+    match Executor.of_file ?pager path with
+    | exec -> exec
+    | exception (Failure message | Sys_error message) ->
+      prerr_endline ("xqp: " ^ message);
+      exit 1)
+  | _ -> Executor.create ?pager (load_document ~file ~gen)
+
 (* Session-level source loading: a [.xqdbc] corpus catalog opens as a
    scatter-gather session (every command goes through the same Session
-   surface), anything else packs into a single-document session. *)
-let load_session ?(domains = 1) ~file ~gen () =
+   surface) and a [.xqdb] store through [Session.open_db]; anything else
+   packs into a single-document session. A store or catalog that cannot be
+   opened is an [Error], which commands report instead of raising. *)
+let open_session ?(domains = 1) ~file ~gen () =
   match file with
-  | Some path when Xqp_storage.Catalog.is_catalog_path path -> (
-    if gen <> None then failwith "give either --file or --gen, not both";
-    match Xqp.Session.open_db ~domains path with
-    | Ok session -> session
-    | Error e -> failwith (Xqp.Error.message e))
-  | _ -> Xqp.Session.of_document (load_document ~file ~gen)
+  | Some path when Xqp_storage.Catalog.is_catalog_path path || is_store_path path ->
+    if gen <> None then Error (Xqp.Error.Bad_request "give either --file or --gen, not both")
+    else Xqp.Session.open_db ~domains path
+  | _ -> Ok (Xqp.Session.of_document (load_document ~file ~gen))
+
+let load_session ?domains ~file ~gen () =
+  match open_session ?domains ~file ~gen () with
+  | Ok session -> session
+  | Error e -> failwith (Xqp.Error.message e)
 
 let file_arg =
   let doc =
@@ -189,41 +206,47 @@ let run_query_traced session strategy no_cache xquery_mode json deadline_ms limi
 
 let run_query file gen domains strategy no_cache xquery_mode json deadline_ms limit
     request_trace query =
-  let session = load_session ~domains ~file ~gen () in
-  Fun.protect
-    ~finally:(fun () -> Xqp.Session.close session)
-    (fun () ->
-      if request_trace then
-        run_query_traced session strategy no_cache xquery_mode json deadline_ms limit query
-      else if json then run_query_json session strategy no_cache xquery_mode deadline_ms query
-      else if xquery_mode then (
-        match Xqp.Session.xquery ~engine:strategy ?deadline_ms session query with
-        | Ok value ->
-          let strings = Xqp.Session.xquery_result_strings session value in
-          let shown =
-            match limit with Some k -> List.filteri (fun i _ -> i < k) strings | None -> strings
-          in
-          List.iter print_endline shown;
-          Printf.printf "(%d items)\n" (List.length strings);
-          0
-        | Error e ->
-          prerr_endline ("xqp query: " ^ Xqp.Error.message e);
-          1)
-      else
-        match
-          Xqp.Session.query ~engine:strategy ~use_cache:(not no_cache) ?deadline_ms session
-            query
-        with
-        | Ok nodes ->
-          let shown =
-            match limit with Some k -> List.filteri (fun i _ -> i < k) nodes | None -> nodes
-          in
-          List.iter (fun id -> print_endline (Xqp.Session.node_string session id)) shown;
-          Printf.printf "(%d nodes)\n" (List.length nodes);
-          0
-        | Error e ->
-          prerr_endline ("xqp query: " ^ Xqp.Error.message e);
-          1)
+  match open_session ~domains ~file ~gen () with
+  | Error e ->
+    let mode = if xquery_mode then "xquery" else "xpath" in
+    if json then print_endline (Xqp.Response.to_string (Xqp.Response.error ~query ~mode e))
+    else prerr_endline ("xqp query: " ^ Xqp.Error.message e);
+    1
+  | Ok session ->
+    Fun.protect
+      ~finally:(fun () -> Xqp.Session.close session)
+      (fun () ->
+        if request_trace then
+          run_query_traced session strategy no_cache xquery_mode json deadline_ms limit query
+        else if json then run_query_json session strategy no_cache xquery_mode deadline_ms query
+        else if xquery_mode then (
+          match Xqp.Session.xquery ~engine:strategy ?deadline_ms session query with
+          | Ok value ->
+            let strings = Xqp.Session.xquery_result_strings session value in
+            let shown =
+              match limit with Some k -> List.filteri (fun i _ -> i < k) strings | None -> strings
+            in
+            List.iter print_endline shown;
+            Printf.printf "(%d items)\n" (List.length strings);
+            0
+          | Error e ->
+            prerr_endline ("xqp query: " ^ Xqp.Error.message e);
+            1)
+        else
+          match
+            Xqp.Session.query ~engine:strategy ~use_cache:(not no_cache) ?deadline_ms session
+              query
+          with
+          | Ok nodes ->
+            let shown =
+              match limit with Some k -> List.filteri (fun i _ -> i < k) nodes | None -> nodes
+            in
+            List.iter (fun id -> print_endline (Xqp.Session.node_string session id)) shown;
+            Printf.printf "(%d nodes)\n" (List.length nodes);
+            0
+          | Error e ->
+            prerr_endline ("xqp query: " ^ Xqp.Error.message e);
+            1)
 
 let deadline_arg =
   let doc = "Abort with a structured timeout once the query has run for $(docv) milliseconds." in
@@ -596,22 +619,16 @@ let run_explain file gen strategy analyze rewrites trace_out no_cache workload q
      against, so estimates and plan-cache behavior match execution. *)
   let session =
     match file with
-    | Some path when Xqp_storage.Catalog.is_catalog_path path ->
-      if gen <> None then failwith "give either --file or --gen, not both";
-      (match Xqp.Session.open_db path with
-      | Ok s -> Some s
-      | Error e -> failwith (Xqp.Error.message e))
+    | Some path when Xqp_storage.Catalog.is_catalog_path path -> Some (load_session ~file ~gen ())
     | _ -> None
   in
   let exec =
     match session with
     | Some s -> Xqp.Session.executor s
     | None ->
-      let doc = load_document ~file ~gen in
       (* Attach a pager so the simulated-I/O counters are live under
-         --analyze; plain explain never forces the store. *)
-      let pager = Xqp_storage.Pager.create () in
-      Executor.create ~pager doc
+         --analyze; plain explain never reads the store. *)
+      load_executor ~pager:(Xqp_storage.Pager.create ()) ~file ~gen ()
   in
   Fun.protect ~finally:(fun () -> Option.iter Xqp.Session.close session) @@ fun () ->
   let queries =
@@ -727,12 +744,11 @@ let rec downward_plan (p : Logical_plan.t) =
          (List.init (Pattern_graph.vertex_count pattern) (fun i -> i))
 
 let run_calibrate file gen threshold gate worst_n no_summary =
-  let doc =
+  let exec =
     match (file, gen) with
-    | None, None -> Xqp_workload.Gen_auction.packed ~scale:600 ()
-    | _ -> load_document ~file ~gen
+    | None, None -> Executor.create (Xqp_workload.Gen_auction.packed ~scale:600 ())
+    | _ -> load_executor ~file ~gen ()
   in
-  let exec = Executor.create doc in
   let stats = Executor.statistics exec in
   let rows =
     List.map
@@ -830,11 +846,10 @@ let calibrate_cmd =
 (* --- stats ------------------------------------------------------------- *)
 
 let run_stats file gen =
-  let doc = load_document ~file ~gen in
-  Format.printf "%a@." Document.pp_stats doc;
-  let stats = Statistics.build doc in
-  Format.printf "%a@." Statistics.pp stats;
-  let store = Xqp_storage.Succinct_store.of_document doc in
+  let exec = load_executor ~file ~gen () in
+  Format.printf "%a@." Document.pp_stats (Executor.doc exec);
+  Format.printf "%a@." Statistics.pp (Executor.statistics exec);
+  let store = Executor.store exec in
   Format.printf "succinct store: %a@." Xqp_storage.Succinct_store.pp_footprint
     (Xqp_storage.Succinct_store.footprint store);
   0
@@ -869,8 +884,7 @@ let generate_cmd =
 (* --- index ------------------------------------------------------------- *)
 
 let run_index file gen output =
-  let doc = load_document ~file ~gen in
-  let store = Xqp_storage.Succinct_store.of_document doc in
+  let store = Executor.store (load_executor ~file ~gen ()) in
   Xqp_storage.Store_io.save store output;
   let f = Xqp_storage.Succinct_store.footprint store in
   Printf.printf "wrote %s: %d nodes, %d bytes in memory\n" output
@@ -894,11 +908,7 @@ let run_pack corpus shards output gens files =
     List.map
       (fun path ->
         ( Filename.basename path,
-          fun () ->
-            if Filename.check_suffix path ".xqdb" then
-              Document.of_tree
-                (Xqp_storage.Succinct_store.to_tree (Xqp_storage.Store_io.load path))
-            else Document.of_tree (Xml_parser.parse_file ~strip:true path) ))
+          fun () -> Executor.doc (load_executor ~file:(Some path) ~gen:None ()) ))
       files
   in
   let named_gens = List.map (fun spec -> (spec, fun () -> generated_document spec)) gens in
@@ -958,7 +968,7 @@ let run_pages file query =
   if not (Filename.check_suffix file ".xqdb") then
     failwith "pages works on saved stores; build one with: xqp index -f doc.xml -o doc.xqdb";
   (* indexes (tag streams) live in RAM, data pages on disk *)
-  let doc = Document.of_tree (Xqp_storage.Succinct_store.to_tree (Xqp_storage.Store_io.load file)) in
+  let doc = Executor.doc (Executor.of_file file) in
   let paged = Xqp_storage.Paged_store.open_store file in
   let pool = Xqp_storage.Paged_store.pool paged in
   let pattern = Xqp_xpath.Parser.parse_pattern query in
@@ -993,8 +1003,8 @@ let pages_cmd =
 (* --- repl -------------------------------------------------------------- *)
 
 let run_repl file gen =
-  let doc = load_document ~file ~gen in
-  let exec = Executor.create doc in
+  let exec = load_executor ~file ~gen () in
+  let doc = Executor.doc exec in
   Format.printf "xqp repl — %a@." Document.pp_stats doc;
   Format.printf "XPath by default; prefix with 'xq ' for XQuery, 'explain ' for plans; ctrl-d quits.@.";
   let rec loop () =

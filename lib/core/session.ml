@@ -43,8 +43,7 @@ let open_db ?domains path =
       (Error.Bad_request
          (Printf.sprintf "%s: open_db expects a packed .xqdb store or .xqdbc catalog" path))
   else
-    catching_source (fun () ->
-        of_tree (Storage.Succinct_store.to_tree (Storage.Store_io.load path)))
+    catching_source (fun () -> { exec = Executor.of_file path; corpus = None })
 
 let parse_file path =
   if Filename.check_suffix path ".xqdb" || Storage.Catalog.is_catalog_path path then

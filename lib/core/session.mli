@@ -33,8 +33,11 @@ val open_db : ?domains:int -> string -> (t, Error.t) result
     execution across shards on [domains] worker domains (default 1 =
     inline; ignored for single stores); result node ids are tagged with
     their document's ordinal, and every entry point below works
-    unchanged. [Error (Bad_request _)] if the path ends in neither
-    suffix; [Error (Io _)] on missing or corrupt files. *)
+    unchanged. A single store opens in one pass through
+    {!Xqp_physical.Executor.of_file}, which verifies the structure's
+    balance and the packed summary. [Error (Bad_request _)] if the path
+    ends in neither suffix; [Error (Io _)] on missing or corrupt files
+    (["PATH: corrupt store file (…)"]). *)
 
 val parse_file : string -> (t, Error.t) result
 (** Parse an XML file. Refuses [.xqdb]/[.xqdbc] paths (use {!open_db}) —

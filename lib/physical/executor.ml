@@ -5,11 +5,15 @@ module Pg = Xqp_algebra.Pattern_graph
 module Ops = Xqp_algebra.Operators
 module Pp = Physical_plan
 module Ps = Xqp_storage.Path_summary
+module Store_io = Xqp_storage.Store_io
+module Tr = Xqp_obs.Trace
+module M = Xqp_obs.Metrics
 
 type t = {
   id : int;
   document : Doc.t;
   store_lazy : Store.t Lazy.t;
+  summary : Ps.t option; (* the packed summary statistics derive from *)
   mutable stats_lazy : Statistics.t Lazy.t;
   mutable stats_version : int;
   engine_guard : Xqp_obs.Dsan.guard;
@@ -34,12 +38,16 @@ let strategy_of_string = Pp.strategy_of_string
 
 let next_id = Atomic.make 0
 
-let create ?pager document =
-  let stats_lazy = lazy (Statistics.build document) in
+let create ?pager ?store ?summary document =
+  let stats_lazy = lazy (Statistics.build ?summary document) in
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
     document;
-    store_lazy = lazy (Store.of_document ?pager document);
+    store_lazy =
+      (match store with
+      | Some store -> Lazy.from_val store
+      | None -> lazy (Store.of_document ?pager document));
+    summary;
     stats_lazy;
     stats_version = 0;
     engine_guard = Xqp_obs.Dsan.guard "Executor.engine_cache";
@@ -63,6 +71,41 @@ let create_planner ?(stats_version = 0) stats =
   t.stats_version <- stats_version;
   t
 
+(* --- opening a packed store ---------------------------------------------- *)
+
+let m_open_ms = M.histogram M.default "session.open_ms"
+
+(* One pass from the packed sections to a ready executor: the Document is
+   built straight from the loaded store, which NoK then reads as is, and
+   statistics derive from the packed summary, checked against the
+   document while path ids are assigned. Building the statistics here
+   rather than lazily is what makes a tampered synopsis an open error
+   instead of a wrong first answer. *)
+let open_image ?pager ~path read =
+  let t0 = Unix.gettimeofday () in
+  let tr = Tr.default in
+  let t =
+    Tr.with_span tr "session.open" (fun _ ->
+        let store, summary =
+          Tr.with_span tr "storage.load" (fun _ ->
+              let image = read () in
+              (Store_io.load_bytes ?pager ~path image, Store_io.packed_summary ~path image))
+        in
+        match
+          let document = Tr.with_span tr "xml.of_store" (fun _ -> Store.to_document store) in
+          let t = create ~store ~summary document in
+          Tr.with_span tr "physical.stats_build" (fun _ -> ignore (Lazy.force t.stats_lazy));
+          t
+        with
+        | t -> t
+        | exception Failure what -> Store_io.corrupt path what)
+  in
+  M.observe m_open_ms ((Unix.gettimeofday () -. t0) *. 1000.0);
+  t
+
+let of_image ?pager ~path image = open_image ?pager ~path (fun () -> image)
+let of_file ?pager path = open_image ?pager ~path (fun () -> Store_io.read_file path)
+
 let id t = t.id
 let doc t = t.document
 let store t = Lazy.force t.store_lazy
@@ -71,7 +114,7 @@ let stats_version t = t.stats_version
 let content_index t = Lazy.force t.content_index_lazy
 
 let refresh_statistics t =
-  t.stats_lazy <- lazy (Statistics.build t.document);
+  t.stats_lazy <- lazy (Statistics.build ?summary:t.summary t.document);
   t.stats_version <- t.stats_version + 1;
   Xqp_obs.Dsan.with_guard t.engine_guard (fun () -> Hashtbl.reset t.engine_cache);
   let stats_lazy = t.stats_lazy in
@@ -314,9 +357,6 @@ let run_pattern t strategy pattern ~context =
     ~context
 
 (* --- instrumented physical-plan interpretation -------------------------- *)
-
-module Tr = Xqp_obs.Trace
-module M = Xqp_obs.Metrics
 
 (* The storage counters whose per-operator deltas become span attributes
    (DESIGN.md §7). Registration is get-or-create, so the handles are the

@@ -22,12 +22,39 @@ type strategy = Physical_plan.strategy =
   | Binary_best    (** binary joins in the cost-model-chosen order *)
   | Auto           (** cost-model choice per pattern, resolved at compile time *)
 
-val create : ?pager:Xqp_storage.Pager.t -> Xqp_xml.Document.t -> t
-(** Store and statistics are built lazily on first use. When [pager] is
-    given, the succinct store charges its accesses to it, so the
-    simulated I/O counters ([pager.*] in [Xqp_obs.Metrics.default]) are
-    live during execution — [explain --analyze] and the bench harness
-    attach one; the default path stays pager-free. *)
+val create :
+  ?pager:Xqp_storage.Pager.t ->
+  ?store:Xqp_storage.Succinct_store.t ->
+  ?summary:Xqp_storage.Path_summary.t ->
+  Xqp_xml.Document.t ->
+  t
+(** Store and statistics are built lazily on first use. [store] is an
+    already loaded succinct store of the same document, which NoK then
+    reads instead of re-linearizing it; [summary] is the document's path
+    summary, from which statistics are derived (and against which they
+    are checked) instead of recomputing it. When [pager] is given, a
+    store built here charges its accesses to it, so the simulated I/O
+    counters ([pager.*] in [Xqp_obs.Metrics.default]) are live during
+    execution — [explain --analyze] and the bench harness attach one; the
+    default path stays pager-free. *)
+
+val of_image : ?pager:Xqp_storage.Pager.t -> path:string -> string -> t
+(** [of_image ~path image] opens a packed [.xqdb] image in one pass: the
+    document is built straight from the loaded store
+    ({!Xqp_storage.Succinct_store.to_document}), the store is kept for NoK,
+    and statistics are built from the packed path summary, which is
+    verified against the document on the way. [path] labels errors;
+    [pager] is attached to the loaded store. Traced as [session.open] ⊃
+    [storage.load], [xml.of_store], [physical.stats_build] in
+    [Xqp_obs.Trace.default]; the duration feeds the [session.open_ms]
+    histogram of [Xqp_obs.Metrics.default].
+    @raise Failure ["PATH: corrupt store file (…)"] on an unbalanced
+    structure, a summary that does not match the document, or any error
+    {!Xqp_storage.Store_io.load_bytes} reports. *)
+
+val of_file : ?pager:Xqp_storage.Pager.t -> string -> t
+(** {!of_image} of a file's contents, the read included in
+    [storage.load]. @raise Sys_error when the file cannot be read. *)
 
 val create_planner : ?stats_version:int -> Statistics.t -> t
 (** A planning-only executor with injected statistics (typically

@@ -4,8 +4,6 @@
    .mli and DESIGN.md §14 for the ownership model. *)
 
 module Doc = Xqp_xml.Document
-module Store = Xqp_storage.Succinct_store
-module Store_io = Xqp_storage.Store_io
 module Catalog = Xqp_storage.Catalog
 module Ops = Xqp_algebra.Operators
 module Pp = Physical_plan
@@ -206,8 +204,8 @@ let shard_images t ss =
   images
 
 (* Build a document executor from its packed image. Called with the slot
-   lock held; opens trust the packed sections (fsck and XQP_VERIFY_PLANS
-   carry the cross-checks). *)
+   lock held; the open checks balance and the packed summary in O(doc),
+   the other cross-checks stay in fsck and XQP_VERIFY_PLANS. *)
 let slot_executor t ss slot doc_in_shard =
   match slot.exec with
   | Some exec -> exec
@@ -216,8 +214,7 @@ let slot_executor t ss slot doc_in_shard =
       let path =
         Printf.sprintf "%s[%d]" (Catalog.shard_file t.catalog ss.shard_index) doc_in_shard
       in
-      let store = Store_io.load_bytes ~path image in
-      let exec = Executor.create (Doc.of_tree (Store.to_tree store)) in
+      let exec = Executor.of_image ~path image in
       slot.exec <- Some exec;
       M.incr t.m_materialized;
       Mutex.lock ss.load_lock;

@@ -15,65 +15,15 @@ type t = {
   pids : int array; (* node id -> summary node (path partition), -1 for text/comment/PI *)
 }
 
-let bump table key = Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
-
-let build doc =
-  let n = Doc.node_count doc in
-  let tag_counts = Hashtbl.create 64 in
-  let pc = Hashtbl.create 256 in
-  let ad = Hashtbl.create 256 in
-  let max_depth = ref 0 in
-  let fanout_sum = ref 0 in
-  let fanout_nodes = ref 0 in
-  let elements = ref 0 in
-  (* Ancestor tag stack: ids are pre-order, so walk ids keeping a stack of
-     (subtree_end, tag). *)
-  let stack = ref [] in
-  for id = 0 to n - 1 do
-    let lvl = Doc.level doc id in
-    if lvl > !max_depth then max_depth := lvl;
-    stack := List.filter (fun (stop, _) -> stop >= id) !stack;
-    match Doc.kind doc id with
-    | Doc.Element | Doc.Attribute ->
-      let name = Doc.name doc id in
-      bump tag_counts name;
-      if Doc.kind doc id = Doc.Element then begin
-        incr elements;
-        fanout_sum := !fanout_sum + List.length (Doc.children doc id);
-        incr fanout_nodes
-      end;
-      (match !stack with
-      | (_, parent_tag) :: _ -> bump pc (parent_tag, name)
-      | [] -> ());
-      List.iter (fun (_, anc_tag) -> bump ad (anc_tag, name)) !stack;
-      if Doc.kind doc id = Doc.Element then
-        stack := (Doc.subtree_end doc id, name) :: !stack
-    | Doc.Text | Doc.Comment | Doc.Pi -> ()
-  done;
-  let summary = Ps.of_document doc in
-  {
-    doc_nodes = n;
-    elements = !elements;
-    tag_counts;
-    pc;
-    ad;
-    max_depth = !max_depth;
-    fanout_sum = !fanout_sum;
-    fanout_nodes = !fanout_nodes;
-    summary;
-    pids = Ps.annotate summary doc;
-  }
-
-(* Derive statistics from a path summary alone — no document in sight.
-   This is how a corpus plans: the catalog's merged summary stands in for
-   the (never-materialized) concatenated corpus document. Tag, parent/child
-   and ancestor/descendant counts are exact for elements and attributes
-   (every document node lies on exactly one root path); text/comment/PI
-   populations are invisible to the summary, so [doc_nodes] undercounts
-   them and fanout excludes text children — both only feed heuristics. No
-   per-node path ids exist ([path_id] returns -1), which is correct for a
-   planning-only instance: [summary_prune] always recomputes from the
-   executing executor's own statistics. *)
+(* Tag, parent/child and ancestor/descendant counts from a path summary:
+   every element/attribute lies on exactly one root path, so summing path
+   counts per (ancestor label, label) pair is exact. Text/comment/PI
+   populations are invisible to a summary, so [doc_nodes] undercounts them
+   and fanout excludes text children; [build] overrides those from the
+   document itself. A corpus plans off its catalog's merged summary this
+   way, with no document in sight: no per-node path ids exist ([path_id]
+   returns -1), which is right for a planning-only instance, since
+   [summary_prune] recomputes from the executing executor's statistics. *)
 let of_summary summary =
   let n = Ps.length summary in
   let tag_counts = Hashtbl.create 64 in
@@ -124,6 +74,33 @@ let of_summary summary =
     fanout_nodes = !elements;
     summary;
     pids = [||];
+  }
+
+(* The pair counts come from the summary (the packed one when the caller
+   has it); [Ps.annotate] assigns the path ids and checks the summary
+   against the document in the same pass. Node count, depth and fan-out
+   come from one scan of the document: every non-root, non-attribute node
+   is a content child of an element. *)
+let build ?summary doc =
+  let summary = match summary with Some s -> s | None -> Ps.of_document doc in
+  let pids = Ps.annotate summary doc in
+  let n = Doc.node_count doc in
+  let max_depth = ref 0 in
+  let attributes = ref 0 in
+  for id = 0 to n - 1 do
+    let lvl = Doc.level doc id in
+    if lvl > !max_depth then max_depth := lvl;
+    if Doc.kind doc id = Doc.Attribute then incr attributes
+  done;
+  let elements = Doc.element_count doc in
+  {
+    (of_summary summary) with
+    doc_nodes = n;
+    elements;
+    max_depth = !max_depth;
+    fanout_sum = max 0 (n - 1 - !attributes);
+    fanout_nodes = elements;
+    pids;
   }
 
 let tag_count t name = Option.value ~default:0 (Hashtbl.find_opt t.tag_counts name)

@@ -1,13 +1,19 @@
 (** Document statistics for cardinality estimation (§2's cost-model
     prerequisite, implemented here as the paper's planned extension).
 
-    Collected in one pass over the packed document: per-tag node counts,
-    parent-child tag-pair counts, ancestor-descendant tag-pair counts
-    (exact, via an ancestor-tag stack), depth and fan-out moments. *)
+    Per-tag node counts, parent-child and ancestor-descendant tag-pair
+    counts (exact) come from the document's path summary; depth and
+    fan-out moments from one scan of the packed document. *)
 
 type t
 
-val build : Xqp_xml.Document.t -> t
+val build : ?summary:Xqp_storage.Path_summary.t -> Xqp_xml.Document.t -> t
+(** [build ?summary doc] derives the tag and pair counts from [summary]
+    (by default [Path_summary.of_document doc]) and assigns per-node path
+    ids with {!Xqp_storage.Path_summary.annotate}, which also checks that
+    [summary] is exactly [doc]'s — so a packed summary is verified before
+    the planner trusts it.
+    @raise Failure when [summary] does not describe [doc]. *)
 
 val of_summary : Xqp_storage.Path_summary.t -> t
 (** Statistics derived from a path summary alone — how a corpus session

@@ -307,15 +307,38 @@ let skip_labels t ~targets ~self =
 
 (* --- per-node path ids -------------------------------------------------- *)
 
+(* The pass visits every node anyway, so it also recounts each path and
+   its text flag: a summary that passes is exactly the document's, which is
+   what lets an open trust a packed synopsis for [Empty] compilation. *)
 let annotate t doc =
   let module Doc = Xqp_xml.Document in
   let n = Doc.node_count doc in
   let pids = Array.make n (-1) in
+  let counts = Array.make (length t) 0 in
+  let texts = Array.make (length t) false in
   let stack = ref [] in
-  let lookup parent lab =
-    match Hashtbl.find_opt t.child_index (parent, lab) with
-    | Some id -> id
-    | None -> failwith (Printf.sprintf "Path_summary.annotate: path %s not in summary" lab)
+  (* (parent path, document symbol, is attribute) -> path, so the string
+     label is built and hashed once per distinct step, not once per node *)
+  let syms = Xqp_xml.Symtab.cardinal (Doc.symtab doc) in
+  let memo = Hashtbl.create 256 in
+  let lookup parent id attr =
+    let key = ((((parent + 1) * syms) + Doc.name_id doc id) * 2) + Bool.to_int attr in
+    let sid =
+      match Hashtbl.find_opt memo key with
+      | Some sid -> sid
+      | None ->
+          let lab = if attr then "@" ^ Doc.name doc id else Doc.name doc id in
+          let sid =
+            match Hashtbl.find_opt t.child_index (parent, lab) with
+            | Some sid -> sid
+            | None ->
+                failwith (Printf.sprintf "Path_summary.annotate: path %s not in summary" lab)
+          in
+          Hashtbl.add memo key sid;
+          sid
+    in
+    counts.(sid) <- counts.(sid) + 1;
+    sid
   in
   for id = 0 to n - 1 do
     while (match !stack with (e, _) :: _ -> e < id | [] -> false) do
@@ -324,12 +347,16 @@ let annotate t doc =
     let parent_sid = match !stack with (_, s) :: _ -> s | [] -> super_root in
     match Doc.kind doc id with
     | Doc.Element ->
-        let sid = lookup parent_sid (Doc.name doc id) in
+        let sid = lookup parent_sid id false in
         pids.(id) <- sid;
         stack := (Doc.subtree_end doc id, sid) :: !stack
-    | Doc.Attribute -> pids.(id) <- lookup parent_sid ("@" ^ Doc.name doc id)
-    | Doc.Text | Doc.Comment | Doc.Pi -> ()
+    | Doc.Attribute -> pids.(id) <- lookup parent_sid id true
+    | Doc.Text -> if parent_sid <> super_root then texts.(parent_sid) <- true
+    | Doc.Comment | Doc.Pi -> ()
   done;
+  if counts <> t.counts then failwith "Path_summary.annotate: path counts differ from the document";
+  if texts <> t.text_flags then
+    failwith "Path_summary.annotate: text flags differ from the document";
   pids
 
 (* --- serialization ------------------------------------------------------ *)

@@ -131,7 +131,10 @@ val is_element_label : string -> bool
 
 val annotate : t -> Xqp_xml.Document.t -> int array
 (** [annotate t doc] maps every document node to its summary node id ([-1]
-    for text/comment/PI nodes). [t] must be the summary of [doc]. *)
+    for text/comment/PI nodes). The same pass recounts every path and its
+    text flag, so it also verifies that [t] is the summary of [doc].
+    @raise Failure when a path is missing or a count or text flag
+    differs. *)
 
 (** {2 Serialization (used by Store_io)} *)
 

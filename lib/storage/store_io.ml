@@ -233,36 +233,6 @@ let save store path =
 
 let corrupt path what = failwith (Printf.sprintf "%s: corrupt store file (%s)" path what)
 
-let read_layout_from read_i64 ~path ~total_size =
-  let node_count = read_i64 8 in
-  let tag_width = read_i64 16 in
-  let structure_bit_len = read_i64 24 in
-  let structure_byte_len = read_i64 32 in
-  let flags_bit_len = read_i64 40 in
-  let flags_byte_len = read_i64 48 in
-  let symbol_count = read_i64 56 in
-  let symbol_blob_len = read_i64 64 in
-  let content_count = read_i64 72 in
-  let content_blob_len = read_i64 80 in
-  let dir_block_count = read_i64 88 in
-  let flag_sample_count = read_i64 96 in
-  let psum_count = read_i64 104 in
-  if node_count < 0 || symbol_count < 0 || content_count < 0 then corrupt path "negative count";
-  if tag_width <> 1 && tag_width <> 2 then corrupt path "bad tag width";
-  if structure_bit_len <> 2 * node_count then corrupt path "structure length";
-  if flags_bit_len <> node_count then corrupt path "flag length";
-  if dir_block_count <> dir_blocks_for structure_bit_len then corrupt path "directory size";
-  if flag_sample_count <> flag_samples_for flags_bit_len then corrupt path "flag sample count";
-  if psum_count < 0 || psum_count > node_count then corrupt path "summary count";
-  let layout =
-    layout_of_fields ~node_count ~tag_width ~structure_bit_len ~structure_byte_len ~flags_bit_len
-      ~flags_byte_len ~symbol_count ~symbol_blob_len ~content_count ~content_blob_len
-      ~dir_block_count ~flag_sample_count ~psum_count
-  in
-  let expected = layout.psum_off + (psum_row_bytes * psum_count) in
-  if expected <> total_size then corrupt path "size mismatch";
-  layout
-
 (* Layout straight from the header fields, with no consistency checks:
    the fsck pass wants to address sections of a possibly-corrupt file and
    report every inconsistency itself rather than fail on the first. *)
@@ -272,6 +242,20 @@ let layout_of_header ~read_i64 =
     ~flags_bit_len:(read_i64 48) ~flags_byte_len:(read_i64 56) ~symbol_count:(read_i64 64)
     ~symbol_blob_len:(read_i64 72) ~content_count:(read_i64 80) ~content_blob_len:(read_i64 88)
     ~dir_block_count:(read_i64 96) ~flag_sample_count:(read_i64 104) ~psum_count:(read_i64 112)
+
+(* The same layout for a reader: fail on the first inconsistency. *)
+let read_layout_from ~read_i64 ~path ~total_size =
+  let l = layout_of_header ~read_i64 in
+  if l.node_count < 0 || l.symbol_count < 0 || l.content_count < 0 then
+    corrupt path "negative count";
+  if l.tag_width <> 1 && l.tag_width <> 2 then corrupt path "bad tag width";
+  if l.structure_bit_len <> 2 * l.node_count then corrupt path "structure length";
+  if l.flags_bit_len <> l.node_count then corrupt path "flag length";
+  if l.dir_block_count <> dir_blocks_for l.structure_bit_len then corrupt path "directory size";
+  if l.flag_sample_count <> flag_samples_for l.flags_bit_len then corrupt path "flag sample count";
+  if l.psum_count < 0 || l.psum_count > l.node_count then corrupt path "summary count";
+  if l.psum_off + (psum_row_bytes * l.psum_count) <> total_size then corrupt path "size mismatch";
+  l
 
 let sign16 v = if v land 0x8000 <> 0 then v - 0x10000 else v
 
@@ -302,116 +286,128 @@ let verify_default () =
   | Some ("" | "0") | None -> false
   | Some _ -> true
 
+(* Little-endian i64 field of an image. OCaml ints have 63 bits, so a field
+   whose two top bits differ has no representation: decoding it anyway
+   would drop a flipped sign bit and read the original value back. *)
+let image_i64 ~path image off =
+  let top = Char.code image.[off + 7] lsr 6 in
+  if top = 1 || top = 2 then corrupt path "integer out of range";
+  let v = ref 0 in
+  for shift = 0 to 7 do
+    v := !v lor (Char.code image.[off + shift] lsl (8 * shift))
+  done;
+  !v
+
+(* Magic, version and section directory of an image. *)
+let image_layout ~path image =
+  let total_size = String.length image in
+  if total_size < header_bytes then corrupt path "too small";
+  if not (String.equal (String.sub image 0 8) magic) then corrupt path "bad magic";
+  let file_version = image_i64 ~path image 8 in
+  if file_version <> version then
+    failwith
+      (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version version);
+  read_layout_from ~read_i64:(image_i64 ~path image) ~path ~total_size
+
+let summary_rows read_i64 layout =
+  Array.init layout.psum_count (fun i ->
+      let base = layout.psum_off + (psum_row_bytes * i) in
+      {
+        Path_summary.r_parent = read_i64 base;
+        r_label = read_i64 (base + 8);
+        r_count = read_i64 (base + 16);
+        r_flags = read_i64 (base + 24);
+      })
+
+(* An offset table of [count + 1] i64s and the blob it slices. *)
+let image_strings ~path image ~offsets_off ~blob_off ~count =
+  Array.init count (fun i ->
+      let start = image_i64 ~path image (offsets_off + (8 * i)) in
+      let stop = image_i64 ~path image (offsets_off + (8 * (i + 1))) in
+      if start < 0 || stop < start || blob_off + stop > String.length image then
+        corrupt path "offset order";
+      String.sub image (blob_off + start) (stop - start))
+
+let image_symbols ~path image layout =
+  image_strings ~path image ~offsets_off:layout.symbol_offsets_off
+    ~blob_off:layout.symbol_blob_off ~count:layout.symbol_count
+
 let load_bytes ?pager ?verify ~path contents_of_file =
   let verify = match verify with Some v -> v | None -> verify_default () in
-  (fun () ->
-      let total_size = String.length contents_of_file in
-      if total_size < header_bytes then corrupt path "too small";
-      if not (String.equal (String.sub contents_of_file 0 8) magic) then corrupt path "bad magic";
-      let read_i64 off =
-        let v = ref 0 in
-        for shift = 0 to 7 do
-          v := !v lor (Char.code contents_of_file.[off + shift] lsl (8 * shift))
-        done;
-        !v
-      in
-      let file_version = read_i64 8 in
-      if file_version <> version then
-        failwith
-          (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version
-             version);
-      let layout = read_layout_from (fun off -> read_i64 (off + 8)) ~path ~total_size in
-      let section off len =
-        if off < 0 || len < 0 || off + len > total_size then corrupt path "section bounds";
-        String.sub contents_of_file off len
-      in
-      let structure =
-        Bitvector.of_packed_bytes
-          (Bytes.of_string (section layout.structure_off layout.structure_byte_len))
-          layout.structure_bit_len
-      in
-      (* Cross-check the serialized directories against freshly computed
-         ones when verifying: a corrupted directory would misnavigate a
-         paged reader. fsck always runs this check. *)
-      if verify then begin
-        let stored =
-          read_dir_blocks
-            ~get_byte:(fun off -> Char.code contents_of_file.[off])
-            ~dir_off:layout.dir_off ~dir_block_count:layout.dir_block_count
-        in
-        let fresh =
-          Excess_dir.blocks
-            (Excess_dir.create ~len:layout.structure_bit_len ~byte:(Bitvector.byte structure))
-        in
-        if
-          not
-            (stored.Excess_dir.delta = fresh.Excess_dir.delta
-            && stored.Excess_dir.fmin = fresh.Excess_dir.fmin
-            && stored.Excess_dir.fmax = fresh.Excess_dir.fmax
-            && stored.Excess_dir.bmin = fresh.Excess_dir.bmin
-            && stored.Excess_dir.bmax = fresh.Excess_dir.bmax)
-        then corrupt path "excess directory mismatch"
-      end;
-      let tag_ids =
-        Array.init layout.node_count (fun rank ->
-            let off = layout.tags_off + (rank * layout.tag_width) in
-            let lo = Char.code contents_of_file.[off] in
-            if layout.tag_width = 1 then lo
-            else lo lor (Char.code contents_of_file.[off + 1] lsl 8))
-      in
-      let content_flags =
-        Bitvector.of_packed_bytes
-          (Bytes.of_string (section layout.flags_off layout.flags_byte_len))
-          layout.flags_bit_len
-      in
-      for s = 0 to layout.flag_sample_count - 1 do
-        let boundary = min layout.flags_bit_len (s * Excess_dir.block_bits) in
-        if read_i64 (layout.flag_samples_off + (8 * s)) <> Bitvector.rank1 content_flags boundary
-        then corrupt path "flag rank sample mismatch"
-      done;
-      let strings ~offsets_off ~blob_off ~count =
-        Array.init count (fun i ->
-            let start = read_i64 (offsets_off + (8 * i)) in
-            let stop = read_i64 (offsets_off + (8 * (i + 1))) in
-            if stop < start then corrupt path "offset order";
-            section (blob_off + start) (stop - start))
-      in
-      let symbols =
-        strings ~offsets_off:layout.symbol_offsets_off ~blob_off:layout.symbol_blob_off
-          ~count:layout.symbol_count
-      in
-      let contents =
-        strings ~offsets_off:layout.content_offsets_off ~blob_off:layout.content_blob_off
-          ~count:layout.content_count
-      in
-      let raw = { Succinct_store.structure; tag_ids; symbols; content_flags; contents } in
-      (* When verifying, cross-check the serialized path summary against a
-         recomputed one, like the excess directory: a stale or corrupted
-         synopsis must not silently feed the planner wrong cardinalities. *)
-      if verify then begin
-        let stored_rows =
-          Array.init layout.psum_count (fun i ->
-              let base = layout.psum_off + (psum_row_bytes * i) in
-              {
-                Path_summary.r_parent = read_i64 base;
-                r_label = read_i64 (base + 8);
-                r_count = read_i64 (base + 16);
-                r_flags = read_i64 (base + 24);
-              })
-        in
-        let label_ids = Hashtbl.create (max 16 layout.symbol_count) in
-        Array.iteri (fun i s -> Hashtbl.replace label_ids s i) symbols;
-        let fresh_rows =
-          match Path_summary.to_rows (summary_of_raw raw) ~label_id:(Hashtbl.find label_ids) with
-          | rows -> rows
-          | exception Failure _ | exception Not_found -> corrupt path "path summary rebuild"
-        in
-        if stored_rows <> fresh_rows then corrupt path "path summary mismatch"
-      end;
-      match Succinct_store.of_raw ?pager raw with
-      | store -> store
-      | exception Invalid_argument reason -> corrupt path reason)
-    ()
+  let total_size = String.length contents_of_file in
+  let read_i64 = image_i64 ~path contents_of_file in
+  let layout = image_layout ~path contents_of_file in
+  let section off len =
+    if off < 0 || len < 0 || off + len > total_size then corrupt path "section bounds";
+    String.sub contents_of_file off len
+  in
+  let structure =
+    Bitvector.of_packed_bytes
+      (Bytes.of_string (section layout.structure_off layout.structure_byte_len))
+      layout.structure_bit_len
+  in
+  (* Cross-check the serialized directories against freshly computed
+     ones when verifying: a corrupted directory would misnavigate a
+     paged reader. fsck always runs this check. *)
+  if verify then begin
+    let stored =
+      read_dir_blocks
+        ~get_byte:(fun off -> Char.code contents_of_file.[off])
+        ~dir_off:layout.dir_off ~dir_block_count:layout.dir_block_count
+    in
+    let fresh =
+      Excess_dir.blocks
+        (Excess_dir.create ~len:layout.structure_bit_len ~byte:(Bitvector.byte structure))
+    in
+    if
+      not
+        (stored.Excess_dir.delta = fresh.Excess_dir.delta
+        && stored.Excess_dir.fmin = fresh.Excess_dir.fmin
+        && stored.Excess_dir.fmax = fresh.Excess_dir.fmax
+        && stored.Excess_dir.bmin = fresh.Excess_dir.bmin
+        && stored.Excess_dir.bmax = fresh.Excess_dir.bmax)
+    then corrupt path "excess directory mismatch"
+  end;
+  let tag_ids =
+    Array.init layout.node_count (fun rank ->
+        let off = layout.tags_off + (rank * layout.tag_width) in
+        let lo = Char.code contents_of_file.[off] in
+        if layout.tag_width = 1 then lo
+        else lo lor (Char.code contents_of_file.[off + 1] lsl 8))
+  in
+  let content_flags =
+    Bitvector.of_packed_bytes
+      (Bytes.of_string (section layout.flags_off layout.flags_byte_len))
+      layout.flags_bit_len
+  in
+  for s = 0 to layout.flag_sample_count - 1 do
+    let boundary = min layout.flags_bit_len (s * Excess_dir.block_bits) in
+    if read_i64 (layout.flag_samples_off + (8 * s)) <> Bitvector.rank1 content_flags boundary
+    then corrupt path "flag rank sample mismatch"
+  done;
+  let symbols = image_symbols ~path contents_of_file layout in
+  let contents =
+    image_strings ~path contents_of_file ~offsets_off:layout.content_offsets_off
+      ~blob_off:layout.content_blob_off ~count:layout.content_count
+  in
+  let raw = { Succinct_store.structure; tag_ids; symbols; content_flags; contents } in
+  (* When verifying, cross-check the serialized path summary against a
+     recomputed one, like the excess directory: a stale or corrupted
+     synopsis must not silently feed the planner wrong cardinalities. *)
+  if verify then begin
+    let stored_rows = summary_rows read_i64 layout in
+    let label_ids = Hashtbl.create (max 16 layout.symbol_count) in
+    Array.iteri (fun i s -> Hashtbl.replace label_ids s i) symbols;
+    let fresh_rows =
+      match Path_summary.to_rows (summary_of_raw raw) ~label_id:(Hashtbl.find label_ids) with
+      | rows -> rows
+      | exception Failure _ | exception Not_found -> corrupt path "path summary rebuild"
+    in
+    if stored_rows <> fresh_rows then corrupt path "path summary mismatch"
+  end;
+  match Succinct_store.of_raw ?pager raw with
+  | store -> store
+  | exception Invalid_argument reason -> corrupt path reason
 
 let read_file path =
   let ic = open_in_bin path in
@@ -427,39 +423,9 @@ let load ?pager ?verify path = load_bytes ?pager ?verify ~path (read_file path)
    image — the per-shard synopsis a catalog needs, without materializing
    (or even fully validating) the store. O(symbols + summary). *)
 let packed_summary ~path contents_of_file =
-  let total_size = String.length contents_of_file in
-  if total_size < header_bytes then corrupt path "too small";
-  if not (String.equal (String.sub contents_of_file 0 8) magic) then corrupt path "bad magic";
-  let read_i64 off =
-    let v = ref 0 in
-    for shift = 0 to 7 do
-      v := !v lor (Char.code contents_of_file.[off + shift] lsl (8 * shift))
-    done;
-    !v
-  in
-  let file_version = read_i64 8 in
-  if file_version <> version then
-    failwith
-      (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version version);
-  let layout = read_layout_from (fun off -> read_i64 (off + 8)) ~path ~total_size in
-  let symbols =
-    Array.init layout.symbol_count (fun i ->
-        let start = read_i64 (layout.symbol_offsets_off + (8 * i)) in
-        let stop = read_i64 (layout.symbol_offsets_off + (8 * (i + 1))) in
-        if stop < start || layout.symbol_blob_off + stop > total_size then
-          corrupt path "offset order";
-        String.sub contents_of_file (layout.symbol_blob_off + start) (stop - start))
-  in
-  let rows =
-    Array.init layout.psum_count (fun i ->
-        let base = layout.psum_off + (psum_row_bytes * i) in
-        {
-          Path_summary.r_parent = read_i64 base;
-          r_label = read_i64 (base + 8);
-          r_count = read_i64 (base + 16);
-          r_flags = read_i64 (base + 24);
-        })
-  in
+  let layout = image_layout ~path contents_of_file in
+  let symbols = image_symbols ~path contents_of_file layout in
+  let rows = summary_rows (image_i64 ~path contents_of_file) layout in
   let label_of id =
     if id < 0 || id >= Array.length symbols then corrupt path "summary label id"
     else symbols.(id)
@@ -478,6 +444,5 @@ let read_layout pool path =
   if file_version <> version then
     failwith
       (Printf.sprintf "%s: unsupported store version %d (expected %d)" path file_version version);
-  read_layout_from
-    (fun off -> Buffer_pool.read_i64 pool (off + 8))
-    ~path ~total_size:(Buffer_pool.file_size pool)
+  read_layout_from ~read_i64:(Buffer_pool.read_i64 pool) ~path
+    ~total_size:(Buffer_pool.file_size pool)

@@ -47,6 +47,11 @@ val load_bytes :
 (** {!load} from an in-memory image ([path] labels error messages) — how
     catalog shards address embedded per-document store images. *)
 
+val corrupt : string -> string -> 'a
+(** [corrupt path what] fails with the one message format every open uses
+    for a damaged store: ["PATH: corrupt store file (WHAT)"].
+    @raise Failure always. *)
+
 val read_file : string -> string
 (** Whole-file read used by {!load} (and by catalog/fsck callers that
     slice the image themselves). @raise Sys_error / Failure. *)

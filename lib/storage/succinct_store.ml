@@ -22,30 +22,23 @@ type t = {
 
 let tag_width_for symbols = if symbols <= 256 then 1 else 2
 
+(* Callers keep [rank] below the node count. *)
+let decode_tag tags width rank =
+  let off = rank * width in
+  if width = 1 then Char.code (Bytes.unsafe_get tags off)
+  else Char.code (Bytes.unsafe_get tags off) lor (Char.code (Bytes.unsafe_get tags (off + 1)) lsl 8)
+
 let read_tag t rank =
-  let off = rank * t.tag_width in
   (match t.pager with
-  | Some pager -> Pager.read pager ~region:Pager.region_tags ~off ~len:t.tag_width
+  | Some pager ->
+    Pager.read pager ~region:Pager.region_tags ~off:(rank * t.tag_width) ~len:t.tag_width
   | None -> ());
-  if t.tag_width = 1 then Char.code (Bytes.unsafe_get t.tags off)
-  else Char.code (Bytes.unsafe_get t.tags off) lor (Char.code (Bytes.unsafe_get t.tags (off + 1)) lsl 8)
+  decode_tag t.tags t.tag_width rank
 
 let write_tag tags width rank tag =
   let off = rank * width in
   Bytes.unsafe_set tags off (Char.unsafe_chr (tag land 0xFF));
   if width = 2 then Bytes.unsafe_set tags (off + 1) (Char.unsafe_chr ((tag lsr 8) land 0xFF))
-
-(* Label strings for the store symbol table. *)
-let label_of_tree = function
-  | Xml.Tree.Element e -> e.name
-  | Xml.Tree.Text _ -> "#text"
-  | Xml.Tree.Comment _ -> "#comment"
-  | Xml.Tree.Pi (target, _) -> "?" ^ target
-
-let own_content_of_tree = function
-  | Xml.Tree.Element _ -> None
-  | Xml.Tree.Text s | Xml.Tree.Comment s -> Some s
-  | Xml.Tree.Pi (_, body) -> Some body
 
 let kind_of_label label =
   if String.length label = 0 then Element
@@ -56,70 +49,56 @@ let kind_of_label label =
     | '#' -> if String.equal label "#text" then Text else Comment
     | _ -> Element
 
-(* Flat pre-order emission shared by the two constructors: the caller
-   supplies an [emit] iterator producing (label, content option, children
-   thunk) in pre-order; we avoid recursion depth issues with an explicit
-   stack over Tree values. *)
-let build_from_tree ?pager tree =
+(* One pre-order walk over the packed document: an open paren, a label
+   interned in first-occurrence order and the own content of every node,
+   a close paren each time the walk leaves a subtree. *)
+let of_document ?pager doc =
+  let module Doc = Xml.Document in
+  let n = Doc.node_count doc in
   let symtab = Xml.Symtab.create () in
   let bits = Bitvector.builder () in
-  let content_builder = Content_store.builder () in
   let has_content = Bitvector.builder () in
-  let rev_tags = ref [] in
-  let n = ref 0 in
-  let emit_node label content =
+  let contents = Content_store.builder () in
+  let tag_ids = Array.make n 0 in
+  let open_ends = ref [] in
+  let close_before id =
+    while (match !open_ends with stop :: _ -> stop < id | [] -> false) do
+      Bitvector.push bits false;
+      open_ends := List.tl !open_ends
+    done
+  in
+  for id = 0 to n - 1 do
+    close_before id;
     Bitvector.push bits true;
-    rev_tags := Xml.Symtab.intern symtab label :: !rev_tags;
-    (match content with
-    | Some s ->
-      Bitvector.push has_content true;
-      ignore (Content_store.add content_builder s)
-    | None -> Bitvector.push has_content false);
-    incr n
-  in
-  (* Work items: either visit a subtree or emit a close paren. *)
-  let rec walk item stack =
-    match item with
-    | `Close ->
-      Bitvector.push bits false;
-      continue stack
-    | `Attr (name, value) ->
-      emit_node ("@" ^ name) (Some value);
-      Bitvector.push bits false;
-      continue stack
-    | `Tree node ->
-      emit_node (label_of_tree node) (own_content_of_tree node);
-      let children =
-        match node with
-        | Xml.Tree.Element e ->
-          List.map (fun (k, v) -> `Attr (k, v)) e.attrs
-          @ List.map (fun c -> `Tree c) e.children
-        | Xml.Tree.Text _ | Xml.Tree.Comment _ | Xml.Tree.Pi _ -> []
-      in
-      continue (children @ (`Close :: stack))
-  and continue = function
-    | [] -> ()
-    | item :: rest -> walk item rest
-  in
-  walk (`Tree tree) [];
-  let symbols = Xml.Symtab.cardinal symtab in
-  let width = tag_width_for symbols in
-  let tags = Bytes.make (!n * width) '\000' in
-  List.iteri
-    (fun i tag -> write_tag tags width (!n - 1 - i) tag)
-    !rev_tags;
+    let kind = Doc.kind doc id in
+    let label =
+      match kind with
+      | Doc.Element -> Doc.name doc id
+      | Doc.Attribute -> "@" ^ Doc.name doc id
+      | Doc.Text -> "#text"
+      | Doc.Comment -> "#comment"
+      | Doc.Pi -> "?" ^ Doc.name doc id
+    in
+    tag_ids.(id) <- Xml.Symtab.intern symtab label;
+    Bitvector.push has_content (kind <> Doc.Element);
+    if kind <> Doc.Element then ignore (Content_store.add contents (Doc.content doc id));
+    open_ends := Doc.subtree_end doc id :: !open_ends
+  done;
+  close_before n;
+  let width = tag_width_for (Xml.Symtab.cardinal symtab) in
+  let tags = Bytes.make (n * width) '\000' in
+  Array.iteri (write_tag tags width) tag_ids;
   {
     bp = Balanced_parens.of_bitvector (Bitvector.build bits);
     symtab;
     tags;
     tag_width = width;
     has_content = Bitvector.build has_content;
-    contents = Content_store.build content_builder;
+    contents = Content_store.build contents;
     pager;
   }
 
-let of_tree ?pager tree = build_from_tree ?pager tree
-let of_document ?pager doc = build_from_tree ?pager (Xml.Document.to_tree doc (Xml.Document.root doc))
+let of_tree ?pager tree = of_document ?pager (Xml.Document.of_tree tree)
 
 let node_count t = Balanced_parens.node_count t.bp
 let symtab t = t.symtab
@@ -211,30 +190,69 @@ let text_content t pos =
     done;
     Buffer.contents buffer
 
-let to_tree t =
-  let rec build pos =
-    let label = tag_name t pos in
-    match kind_of_label label with
-    | Text -> Xml.Tree.Text (content t pos)
-    | Comment -> Xml.Tree.Comment (content t pos)
-    | Pi -> Xml.Tree.Pi (String.sub label 1 (String.length label - 1), content t pos)
-    | Attribute -> invalid_arg "Succinct_store.to_tree: attribute outside element"
-    | Element ->
-      let rec collect child attrs kids =
-        match child with
-        | None -> (List.rev attrs, List.rev kids)
-        | Some c -> (
-          match kind_of t c with
-          | Attribute ->
-            let name = String.sub (tag_name t c) 1 (String.length (tag_name t c) - 1) in
-            collect (Balanced_parens.next_sibling t.bp c) ((name, content t c) :: attrs) kids
-          | Element | Text | Comment | Pi ->
-            collect (Balanced_parens.next_sibling t.bp c) attrs (build c :: kids))
-      in
-      let attrs, kids = collect (Balanced_parens.first_child t.bp pos) [] [] in
-      Xml.Tree.Element { name = label; attrs; children = kids }
+(* One left-to-right scan of the parenthesis bits, reading tags by rank and
+   contents in order (content ids are dense in pre-order, so no rank1 per
+   node). Each store symbol is mapped to a document symbol at its first
+   occurrence, which interns names in the order [Document.of_tree] would.
+   The builder validates the events, which makes the scan the structure
+   check: a single flipped bit changes the number of opens, and anything
+   that is not one balanced tree is refused before it can reach an
+   engine. *)
+let to_document t =
+  let module Doc = Xml.Document in
+  (* the node count the tag section was written for, not the popcount of
+     the bits being checked *)
+  let n = Bytes.length t.tags / t.tag_width in
+  let bits = Balanced_parens.bits t.bp in
+  let symtab = Xml.Symtab.create () in
+  let b = Doc.Builder.create ~nodes:n symtab in
+  let nsym = Xml.Symtab.cardinal t.symtab in
+  let kinds = Array.make nsym Doc.Element in
+  let syms = Array.make nsym (-2) (* -2: not mapped yet *) in
+  let map tag =
+    let label = Xml.Symtab.name t.symtab tag in
+    let strip () = String.sub label 1 (String.length label - 1) in
+    let kind, sym =
+      match kind_of_label label with
+      | Element -> (Doc.Element, Xml.Symtab.intern symtab label)
+      | Attribute -> (Doc.Attribute, Xml.Symtab.intern symtab (strip ()))
+      | Pi -> (Doc.Pi, Xml.Symtab.intern symtab (strip ()))
+      | Text -> (Doc.Text, -1)
+      | Comment -> (Doc.Comment, -1)
+    in
+    kinds.(tag) <- kind;
+    syms.(tag) <- sym
   in
-  build (root t)
+  let rank = ref 0 and next_content = ref 0 in
+  match
+    for pos = 0 to Bitvector.length bits - 1 do
+      if not (Bitvector.get bits pos) then Doc.Builder.close_node b
+      else begin
+        let r = !rank in
+        if r = n then invalid_arg "more opens than nodes";
+        let tag = decode_tag t.tags t.tag_width r in
+        if syms.(tag) = -2 then map tag;
+        let content =
+          if Bitvector.get t.has_content r then begin
+            incr next_content;
+            Content_store.get t.contents (!next_content - 1)
+          end
+          else ""
+        in
+        Doc.Builder.open_node b kinds.(tag) syms.(tag) content;
+        rank := r + 1
+      end
+    done;
+    Doc.Builder.finish b
+  with
+  | doc -> doc
+  | exception Invalid_argument what -> failwith ("malformed structure: " ^ what)
+
+(* The algebraic tree is the decoded document's; the scan reads the whole
+   structure, which is what a pager is charged with. *)
+let to_tree t =
+  touch_structure t 0 (Balanced_parens.length t.bp);
+  Xml.Document.to_tree (to_document t) 0
 
 let footprint t =
   {
@@ -252,15 +270,9 @@ let pp_footprint ppf f =
 
 (* --- Updates ------------------------------------------------------- *)
 
-(* Rebuild helper: produce the (bits, labels, contents) triple of a fragment
-   without constructing a store. *)
-let linearize_fragment fragment =
-  let sub = build_from_tree fragment in
-  sub
-
 let splice_range t ~first_rank ~node_count_removed ~bit_off ~bit_len fragment =
   (* fragment = None means pure deletion. *)
-  let frag = Option.map linearize_fragment fragment in
+  let frag = Option.map of_tree fragment in
   let frag_bits = match frag with Some f -> Balanced_parens.bits f.bp | None -> Bitvector.of_bools [] in
   let frag_nodes = match frag with Some f -> node_count f | None -> 0 in
   (* Structure bits: one splice, reusing directory blocks before the edit. *)
@@ -289,12 +301,7 @@ let splice_range t ~first_rank ~node_count_removed ~bit_off ~bit_len fragment =
   let width = tag_width_for (Xml.Symtab.cardinal t.symtab) in
   let tags = Bytes.make (n_new * width) '\000' in
   let copy_tag ~src_rank ~dst_rank =
-    let tag =
-      let off = src_rank * t.tag_width in
-      if t.tag_width = 1 then Char.code (Bytes.get t.tags off)
-      else Char.code (Bytes.get t.tags off) lor (Char.code (Bytes.get t.tags (off + 1)) lsl 8)
-    in
-    write_tag tags width dst_rank tag
+    write_tag tags width dst_rank (decode_tag t.tags t.tag_width src_rank)
   in
   for r = 0 to first_rank - 1 do
     copy_tag ~src_rank:r ~dst_rank:r

@@ -42,7 +42,17 @@ val of_tree : ?pager:Pager.t -> Xqp_xml.Tree.t -> t
 
 val to_tree : t -> Xqp_xml.Tree.t
 (** Rebuild the algebraic document (inverse of {!of_tree} up to nothing —
-    the encoding is lossless). *)
+    the encoding is lossless), by way of {!to_document}.
+    @raise Failure as {!to_document}. *)
+
+val to_document : t -> Xqp_xml.Document.t
+(** The packed document, built in one left-to-right scan of the
+    parenthesis bits, tag bytes and has-content bits with no intermediate
+    tree. Equal, field for field and symbol id for symbol id, to
+    [Document.of_tree (to_tree s)]. The scan validates the structure: the
+    excess never goes negative and ends at zero, there is one root, the
+    number of opens equals the number of tags, and only elements have
+    children. @raise Failure naming the violation otherwise. *)
 
 val node_count : t -> int
 val symtab : t -> Xqp_xml.Symtab.t

@@ -23,108 +23,135 @@ let rec packed_count tree =
     List.fold_left (fun acc c -> acc + packed_count c) (1 + List.length e.attrs) e.children
   | Tree.Text _ | Tree.Comment _ | Tree.Pi _ -> 1
 
-let of_tree tree =
-  let n = packed_count tree in
-  let symtab = Symtab.create () in
-  let kinds = Array.make n Element in
-  let names = Array.make n (-1) in
-  let parents = Array.make n (-1) in
-  let first_children = Array.make n (-1) in
-  let next_siblings = Array.make n (-1) in
-  let sizes = Array.make n 1 in
-  let levels = Array.make n 0 in
-  let postorders = Array.make n 0 in
-  let contents = Array.make n "" in
-  let next_pre = ref 0 in
-  let next_post = ref 0 in
-  let alloc () =
-    let id = !next_pre in
-    incr next_pre;
-    id
-  in
-  (* Pack [node] and return its id; [prev] chains next_sibling. *)
-  let rec pack parent_id lvl node =
-    let id = alloc () in
-    parents.(id) <- parent_id;
-    levels.(id) <- lvl;
-    (match node with
-    | Tree.Text s ->
-      kinds.(id) <- Text;
-      contents.(id) <- s
-    | Tree.Comment s ->
-      kinds.(id) <- Comment;
-      contents.(id) <- s
-    | Tree.Pi (target, body) ->
-      kinds.(id) <- Pi;
-      names.(id) <- Symtab.intern symtab target;
-      contents.(id) <- body
-    | Tree.Element e ->
-      kinds.(id) <- Element;
-      names.(id) <- Symtab.intern symtab e.name;
-      let prev = ref (-1) in
-      let link child_id =
-        if !prev = -1 then first_children.(id) <- child_id
-        else next_siblings.(!prev) <- child_id;
-        prev := child_id
-      in
-      List.iter
-        (fun (key, value) ->
-          let attr_id = alloc () in
-          kinds.(attr_id) <- Attribute;
-          names.(attr_id) <- Symtab.intern symtab key;
-          contents.(attr_id) <- value;
-          parents.(attr_id) <- id;
-          levels.(attr_id) <- lvl + 1;
-          sizes.(attr_id) <- 1;
-          postorders.(attr_id) <- !next_post;
-          incr next_post;
-          link attr_id)
-        e.attrs;
-      List.iter (fun child -> link (pack id (lvl + 1) child)) e.children);
-    sizes.(id) <- !next_pre - id;
-    postorders.(id) <- !next_post;
-    incr next_post;
-    id
-  in
-  let root_id = pack (-1) 0 tree in
-  assert (root_id = 0);
-  assert (!next_pre = n);
-  (* Per-tag node lists, in document order. *)
-  let tags = Symtab.cardinal symtab in
-  let counts = Array.make tags 0 in
-  let n_elements = ref 0 in
-  for id = 0 to n - 1 do
-    (match kinds.(id) with
-    | Element ->
-      incr n_elements;
-      counts.(names.(id)) <- counts.(names.(id)) + 1
-    | Attribute -> counts.(names.(id)) <- counts.(names.(id)) + 1
-    | Text | Comment | Pi -> ())
-  done;
-  let by_name = Array.init tags (fun sym -> Array.make counts.(sym) 0) in
-  let fill = Array.make tags 0 in
-  for id = 0 to n - 1 do
-    match kinds.(id) with
-    | Element | Attribute ->
-      let sym = names.(id) in
-      by_name.(sym).(fill.(sym)) <- id;
-      fill.(sym) <- fill.(sym) + 1
-    | Text | Comment | Pi -> ()
-  done;
-  {
-    symtab;
-    kinds;
-    names;
-    parents;
-    first_children;
-    next_siblings;
-    sizes;
-    levels;
-    postorders;
-    contents;
-    by_name;
-    n_elements = !n_elements;
+(* Pre-order construction: every constructor (trees, packed stores) emits
+   open/close events into one builder, so the arrays have one code path.
+   The node count is known up front (a tree is counted, a store records
+   it), so the arrays are allocated once at their final size. The stack
+   holds the open nodes; [last] the most recent child of each, which
+   threads first_child/next_sibling without a second pass. *)
+module Builder = struct
+  (* [doc] is filled in place; its tag index is computed by [finish]. *)
+  type builder = {
+    doc : t;
+    mutable len : int;
+    mutable post : int;
+    mutable stack : int array;
+    mutable last : int array;
+    mutable depth : int;
   }
+
+  let create ~nodes symtab =
+    {
+      doc =
+        {
+          symtab;
+          kinds = Array.make nodes Element;
+          names = Array.make nodes (-1);
+          parents = Array.make nodes (-1);
+          first_children = Array.make nodes (-1);
+          next_siblings = Array.make nodes (-1);
+          sizes = Array.make nodes 1;
+          levels = Array.make nodes 0;
+          postorders = Array.make nodes 0;
+          contents = Array.make nodes "";
+          by_name = [||];
+          n_elements = 0;
+        };
+      len = 0;
+      post = 0;
+      stack = Array.make 16 0;
+      last = Array.make 16 (-1);
+      depth = 0;
+    }
+
+  let widen a fill = Array.append a (Array.make (Array.length a) fill)
+
+  let open_node b kind sym content =
+    let doc = b.doc and d = b.depth in
+    if d = 0 && b.len > 0 then invalid_arg "Document.Builder: second root";
+    if b.len = Array.length doc.kinds then invalid_arg "Document.Builder: more nodes than announced";
+    let id = b.len in
+    b.len <- id + 1;
+    if d > 0 then begin
+      let parent = b.stack.(d - 1) in
+      if doc.kinds.(parent) <> Element then invalid_arg "Document.Builder: child of a non-element";
+      let prev = b.last.(d - 1) in
+      if kind = Attribute && prev <> -1 && doc.kinds.(prev) <> Attribute then
+        invalid_arg "Document.Builder: attribute after content";
+      if prev = -1 then doc.first_children.(parent) <- id else doc.next_siblings.(prev) <- id;
+      b.last.(d - 1) <- id;
+      doc.parents.(id) <- parent
+    end;
+    doc.kinds.(id) <- kind;
+    doc.names.(id) <- sym;
+    doc.levels.(id) <- d;
+    doc.contents.(id) <- content;
+    if d = Array.length b.stack then begin
+      b.stack <- widen b.stack 0;
+      b.last <- widen b.last (-1)
+    end;
+    b.stack.(d) <- id;
+    b.last.(d) <- -1;
+    b.depth <- d + 1
+
+  let close_node b =
+    if b.depth = 0 then invalid_arg "Document.Builder: close without open";
+    let d = b.depth - 1 in
+    let id = b.stack.(d) in
+    b.doc.sizes.(id) <- b.len - id;
+    b.doc.postorders.(id) <- b.post;
+    b.post <- b.post + 1;
+    b.depth <- d
+
+  let finish b =
+    let { kinds; names; symtab; _ } = b.doc in
+    let n = b.len in
+    if b.depth <> 0 then invalid_arg "Document.Builder: unclosed node";
+    if n = 0 || n <> Array.length kinds then invalid_arg "Document.Builder: node count";
+    (* Per-tag node lists, in document order. *)
+    let tags = Symtab.cardinal symtab in
+    let counts = Array.make tags 0 in
+    let n_elements = ref 0 in
+    for id = 0 to n - 1 do
+      match kinds.(id) with
+      | Element ->
+        incr n_elements;
+        counts.(names.(id)) <- counts.(names.(id)) + 1
+      | Attribute -> counts.(names.(id)) <- counts.(names.(id)) + 1
+      | Text | Comment | Pi -> ()
+    done;
+    let by_name = Array.init tags (fun sym -> Array.make counts.(sym) 0) in
+    let fill = Array.make tags 0 in
+    for id = 0 to n - 1 do
+      match kinds.(id) with
+      | Element | Attribute ->
+        let sym = names.(id) in
+        by_name.(sym).(fill.(sym)) <- id;
+        fill.(sym) <- fill.(sym) + 1
+      | Text | Comment | Pi -> ()
+    done;
+    { b.doc with by_name; n_elements = !n_elements }
+end
+
+let of_tree tree =
+  let symtab = Symtab.create () in
+  let b = Builder.create ~nodes:(packed_count tree) symtab in
+  let leaf kind sym content =
+    Builder.open_node b kind sym content;
+    Builder.close_node b
+  in
+  let rec pack = function
+    | Tree.Text s -> leaf Text (-1) s
+    | Tree.Comment s -> leaf Comment (-1) s
+    | Tree.Pi (target, body) -> leaf Pi (Symtab.intern symtab target) body
+    | Tree.Element e ->
+      Builder.open_node b Element (Symtab.intern symtab e.name) "";
+      List.iter (fun (key, value) -> leaf Attribute (Symtab.intern symtab key) value) e.attrs;
+      List.iter pack e.children;
+      Builder.close_node b
+  in
+  pack tree;
+  Builder.finish b
 
 let of_string ?strip s = of_tree (Xml_parser.parse_string ?strip s)
 let root (_ : t) = 0

@@ -18,9 +18,37 @@ type node = int
 
 type t
 
+(** Pre-order construction from open/close events — the one code path
+    that fills the arrays, whether the source is a {!Tree.t} or a packed
+    store. A leaf (text, attribute, …) is an [open_node] immediately
+    followed by [close_node]; an element's attributes must be emitted
+    before its content children. *)
+module Builder : sig
+  type builder
+
+  val create : nodes:int -> Symtab.t -> builder
+  (** [nodes] is the exact node count the events will describe; [symtab]
+      is the table the [sym] arguments of {!open_node} index. *)
+
+  val open_node : builder -> kind -> int -> string -> unit
+  (** [open_node b kind sym content] enters the next node in pre-order.
+      [sym] is the name's symbol ([-1] for text and comment nodes),
+      [content] its own content ([""] for elements).
+      @raise Invalid_argument past [nodes] nodes, on a second root, a child
+      of a non-element, or an attribute after a content child. *)
+
+  val close_node : builder -> unit
+  (** @raise Invalid_argument without a matching {!open_node}. *)
+
+  val finish : builder -> t
+  (** @raise Invalid_argument on an unclosed node or fewer than [nodes]
+      nodes. *)
+end
+
 val of_tree : Tree.t -> t
-(** [of_tree tree] packs [tree]. The symbol table interns element and
-    attribute names in pre-order of first occurrence. *)
+(** [of_tree tree] packs [tree] through {!Builder}. The symbol table
+    interns element and attribute names in pre-order of first
+    occurrence. *)
 
 val to_tree : t -> node -> Tree.t
 (** [to_tree doc node] rebuilds the algebraic subtree rooted at [node]. *)

@@ -508,6 +508,40 @@ let test_metric_emission_from_engines () =
   let _ = Executor.query exec ~strategy:Executor.Navigation "/site/people/person/name" in
   check_bool "navigation emitted nodes_visited" true (Metrics.value c > before)
 
+(* --- open-path spans ------------------------------------------------------ *)
+
+let test_open_path_spans () =
+  let path = Filename.temp_file "xqp_open" ".xqdb" in
+  Xqp_storage.Store_io.save
+    (Xqp_storage.Succinct_store.of_document (Xqp_workload.Gen_auction.packed ~scale:200 ()))
+    path;
+  let opens = Metrics.histogram Metrics.default "session.open_ms" in
+  let before = (Metrics.summary opens).Metrics.count in
+  let tr = Trace.default in
+  Trace.clear tr;
+  Trace.set_enabled tr true;
+  let events =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled tr false;
+        Sys.remove path)
+      (fun () ->
+        ignore (Executor.of_file path);
+        Trace.events tr)
+  in
+  Trace.clear tr;
+  let find name =
+    match List.find_opt (fun (e : Trace.event) -> e.Trace.name = name) events with
+    | Some e -> e
+    | None -> Alcotest.failf "no %s span" name
+  in
+  let root = find "session.open" in
+  check_int "session.open is a root" (-1) root.Trace.parent;
+  List.iter
+    (fun name -> check_int (name ^ " nested under session.open") root.Trace.id (find name).Trace.parent)
+    [ "storage.load"; "xml.of_store"; "physical.stats_build" ];
+  check_int "session.open_ms observed" (before + 1) (Metrics.summary opens).Metrics.count
+
 let suite =
   [
     ( "obs",
@@ -535,5 +569,6 @@ let suite =
           test_pager_reset_stats_keeps_pool_warm;
         Alcotest.test_case "rewrite tracing" `Quick test_rewrite_tracing;
         Alcotest.test_case "engines emit metrics" `Quick test_metric_emission_from_engines;
+        Alcotest.test_case "open-path spans" `Quick test_open_path_spans;
       ] );
   ]

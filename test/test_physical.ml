@@ -330,6 +330,97 @@ let test_statistics_estimates () =
   check_bool "predicate reduces estimate" true
     (Statistics.estimate_result stats selective < Statistics.estimate_result stats (Xqp_xpath.Parser.parse_pattern "//book"))
 
+(* The per-node ancestor-stack walk statistics were once collected with —
+   O(n·depth), kept here as the oracle for the summary-derived counts. *)
+type naive_stats = {
+  n_nodes : int;
+  n_elements : int;
+  n_tags : (string, int) Hashtbl.t;
+  n_pc : (string * string, int) Hashtbl.t;
+  n_ad : (string * string, int) Hashtbl.t;
+  n_max_depth : int;
+  n_fanout : float;
+}
+
+let naive_statistics doc =
+  let bump table key =
+    Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
+  in
+  let n = Document.node_count doc in
+  let tags = Hashtbl.create 64 and pc = Hashtbl.create 64 and ad = Hashtbl.create 64 in
+  let max_depth = ref 0 and fanout_sum = ref 0 and elements = ref 0 in
+  let stack = ref [] in
+  for id = 0 to n - 1 do
+    max_depth := max !max_depth (Document.level doc id);
+    stack := List.filter (fun (stop, _) -> stop >= id) !stack;
+    match Document.kind doc id with
+    | Document.Element | Document.Attribute ->
+      let name = Document.name doc id in
+      bump tags name;
+      (match !stack with (_, parent) :: _ -> bump pc (parent, name) | [] -> ());
+      List.iter (fun (_, anc) -> bump ad (anc, name)) !stack;
+      if Document.kind doc id = Document.Element then begin
+        incr elements;
+        fanout_sum := !fanout_sum + List.length (Document.children doc id);
+        stack := (Document.subtree_end doc id, name) :: !stack
+      end
+    | Document.Text | Document.Comment | Document.Pi -> ()
+  done;
+  {
+    n_nodes = n;
+    n_elements = !elements;
+    n_tags = tags;
+    n_pc = pc;
+    n_ad = ad;
+    n_max_depth = !max_depth;
+    n_fanout =
+      (if !elements = 0 then 0.0 else float_of_int !fanout_sum /. float_of_int !elements);
+  }
+
+let statistics_agree doc (oracle : naive_stats) stats =
+  let names = Hashtbl.fold (fun name _ acc -> name :: acc) oracle.n_tags [] in
+  let count table key = Option.value ~default:0 (Hashtbl.find_opt table key) in
+  Statistics.node_count stats = oracle.n_nodes
+  && Statistics.element_count stats = oracle.n_elements
+  && Statistics.max_depth stats = oracle.n_max_depth
+  && Statistics.avg_fanout stats = oracle.n_fanout
+  && List.for_all (fun name -> Statistics.tag_count stats name = count oracle.n_tags name) names
+  && List.for_all
+       (fun a ->
+         List.for_all
+           (fun b ->
+             Statistics.parent_child_count stats ~parent:a ~child:b = count oracle.n_pc (a, b)
+             && Statistics.ancestor_descendant_count stats ~ancestor:a ~descendant:b
+                = count oracle.n_ad (a, b))
+           names)
+       names
+  && List.for_all
+       (fun id ->
+         match Document.kind doc id with
+         | Document.Element | Document.Attribute -> Statistics.path_id stats id >= 0
+         | Document.Text | Document.Comment | Document.Pi -> Statistics.path_id stats id = -1)
+       (List.init (Document.node_count doc) Fun.id)
+
+let prop_statistics_match_naive_walk =
+  QCheck2.Test.make ~name:"Statistics.build (derived or packed summary) = naive walk" ~count:100
+    Test_storage.gen_rich_tree (fun tree ->
+      let doc = Document.of_tree tree in
+      let image = Xqp_storage.Store_io.to_bytes (Xqp_storage.Succinct_store.of_document doc) in
+      let packed = Xqp_storage.Store_io.packed_summary ~path:"mem" image in
+      let oracle = naive_statistics doc in
+      let derived = Statistics.build doc and from_packed = Statistics.build ~summary:packed doc in
+      statistics_agree doc oracle derived
+      && statistics_agree doc oracle from_packed
+      && List.for_all
+           (fun id -> Statistics.path_id derived id = Statistics.path_id from_packed id)
+           (List.init (Document.node_count doc) Fun.id))
+
+let test_statistics_refuse_foreign_summary () =
+  let doc = bib () in
+  let other = Xqp_storage.Path_summary.of_document (Document.of_string "<bib><book/></bib>") in
+  check_bool "summary of another document refused" true
+    (match Statistics.build ~summary:other doc with exception Failure _ -> true | _ -> false)
+
 let test_cost_model_choices () =
   let doc = bib () in
   let stats = Statistics.build doc in
@@ -659,6 +750,8 @@ let suite =
     ( "physical.stats_cost",
       [
         Alcotest.test_case "exact counts" `Quick test_statistics_exact_counts;
+        qcheck prop_statistics_match_naive_walk;
+        Alcotest.test_case "foreign summary refused" `Quick test_statistics_refuse_foreign_summary;
         Alcotest.test_case "estimates" `Quick test_statistics_estimates;
         Alcotest.test_case "cost model choices" `Quick test_cost_model_choices;
         Alcotest.test_case "join order spread" `Quick test_join_order_cost_spread;

@@ -583,6 +583,106 @@ let prop_store_matches_document_ranks =
         !ok
       end)
 
+(* gen_tree_with_attrs plus comments, processing instructions and, half
+   the time, more than 256 distinct names (a 2-byte tag width). *)
+let gen_rich_tree =
+  let open QCheck2.Gen in
+  let tag = oneofl [ "a"; "b"; "c" ] in
+  let leaf =
+    oneof
+      [
+        map Tree.text (oneofl [ "x"; "y&z"; "" ]);
+        map (fun t -> Tree.elt t []) tag;
+        map (fun c -> Tree.Comment c) (oneofl [ " note "; "" ]);
+        map (fun t -> Tree.Pi (t, "body")) (oneofl [ "pi"; "a" ]);
+      ]
+  in
+  let body =
+    sized @@ fix (fun self n ->
+        if n <= 0 then leaf
+        else
+          let* name = tag in
+          let* attrs = oneofl [ []; [ ("id", "v1") ]; [ ("a", "1"); ("b", "") ] ] in
+          let* kids = list_size (int_bound 3) (self (n / 2)) in
+          return (Tree.elt ~attrs name kids))
+  in
+  let* tree = body in
+  let* wide = bool in
+  let names = if wide then List.init 300 (fun i -> Tree.elt (Printf.sprintf "n%d" i) []) else [] in
+  return (Tree.elt "root" (tree :: names))
+
+(* Field-for-field equality through the public accessors, symbol ids
+   included. *)
+let documents_equal a b =
+  let n = Document.node_count a in
+  let syms d = Symtab.cardinal (Document.symtab d) in
+  let same_nodes () =
+    List.for_all
+      (fun id ->
+        Document.kind a id = Document.kind b id
+        && Document.name_id a id = Document.name_id b id
+        && Document.parent a id = Document.parent b id
+        && Document.first_child a id = Document.first_child b id
+        && Document.next_sibling a id = Document.next_sibling b id
+        && Document.level a id = Document.level b id
+        && Document.subtree_size a id = Document.subtree_size b id
+        && Document.postorder a id = Document.postorder b id
+        && String.equal (Document.content a id) (Document.content b id))
+      (List.init n Fun.id)
+  in
+  let same_symbols () =
+    List.for_all
+      (fun sym ->
+        String.equal (Symtab.name (Document.symtab a) sym) (Symtab.name (Document.symtab b) sym)
+        && Document.nodes_by_name_array a sym = Document.nodes_by_name_array b sym)
+      (List.init (syms a) Fun.id)
+  in
+  n = Document.node_count b
+  && syms a = syms b
+  && Document.element_count a = Document.element_count b
+  && same_nodes () && same_symbols ()
+
+let prop_to_document_equals_round_trip =
+  QCheck2.Test.make ~name:"to_document = of_tree (to_tree s), before and after save/load"
+    ~count:100 gen_rich_tree (fun tree ->
+      let store = Succinct_store.of_tree tree in
+      let loaded = Store_io.load_bytes ~path:"mem" (Store_io.to_bytes store) in
+      documents_equal (Document.of_tree (Succinct_store.to_tree store)) (Succinct_store.to_document store)
+      && documents_equal (Document.of_tree tree) (Succinct_store.to_document loaded))
+
+let test_document_builder_refuses_non_trees () =
+  let symtab = Symtab.create () in
+  let sym = Symtab.intern symtab "a" in
+  let refused ?(nodes = 3) label events =
+    let b = Document.Builder.create ~nodes symtab in
+    match
+      events b;
+      Document.Builder.finish b
+    with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "builder accepted %s" label
+  in
+  let open Document.Builder in
+  refused "close without open" (fun b -> close_node b);
+  refused "unclosed node" (fun b -> open_node b Document.Element sym "");
+  refused "fewer nodes than announced" (fun _ -> ());
+  refused ~nodes:1 "more nodes than announced" (fun b ->
+      open_node b Document.Element sym "";
+      open_node b Document.Text (-1) "t");
+  refused "second root" (fun b ->
+      open_node b Document.Element sym "";
+      close_node b;
+      open_node b Document.Element sym "");
+  refused "child of a text node" (fun b ->
+      open_node b Document.Element sym "";
+      open_node b Document.Text (-1) "t";
+      open_node b Document.Element sym "");
+  refused "attribute after content" (fun b ->
+      open_node b Document.Element sym "";
+      open_node b Document.Text (-1) "t";
+      close_node b;
+      open_node b Document.Attribute sym "v")
+
 let prop_store_splice_equals_tree_edit =
   (* Replacing the first child of the root must equal rebuilding from the
      edited tree. *)
@@ -745,6 +845,64 @@ let test_store_io_path_summary_section () =
     | _ -> false);
   check_bool "tampered count trusted by plain open" true
     (match Store_io.load temp_store_path with exception Failure _ -> false | _ -> true)
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* An open verifies what a plain load trusts: every single-bit flip of the
+   structure section and every single-byte change of a packed summary count
+   must make the session open fail with a structured error, never answer. *)
+let test_open_refuses_corrupt_stores () =
+  let tree = Xml_parser.parse_string ~strip:true sample_source in
+  let image = Store_io.to_bytes (Succinct_store.of_tree tree) in
+  let pool_path = Filename.temp_file "xqp_layout" ".xqdb" in
+  write_file pool_path image;
+  let pool = Buffer_pool.open_file pool_path in
+  let layout = Store_io.read_layout pool pool_path in
+  Buffer_pool.close pool;
+  Sys.remove pool_path;
+  let path = Filename.temp_file "xqp_mutant" ".xqdb" in
+  let opens_with_error what mutant =
+    write_file path mutant;
+    match Xqp.Session.open_db path with
+    | Error (Xqp.Error.Io message) ->
+      let needle = "corrupt store" in
+      let found =
+        List.exists
+          (fun i -> String.sub message i (String.length needle) = needle)
+          (List.init (max 0 (String.length message - String.length needle + 1)) Fun.id)
+      in
+      if not found then
+        Alcotest.failf "%s: unexpected message %S" what message
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Xqp.Error.message e)
+    | Ok _ -> Alcotest.failf "%s: corrupt store opened" what
+  in
+  let flip off mask =
+    let b = Bytes.of_string image in
+    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor mask));
+    Bytes.to_string b
+  in
+  for bit = 0 to layout.Store_io.structure_bit_len - 1 do
+    opens_with_error
+      (Printf.sprintf "structure bit %d" bit)
+      (flip (layout.Store_io.structure_off + (bit / 8)) (1 lsl (bit mod 8)))
+  done;
+  for row = 0 to layout.Store_io.psum_count - 1 do
+    for byte = 0 to 7 do
+      let off = layout.Store_io.psum_off + (Store_io.psum_row_bytes * row) + 16 + byte in
+      List.iter
+        (fun mask -> opens_with_error (Printf.sprintf "summary row %d byte %d" row byte) (flip off mask))
+        [ 0x01; 0x80 ]
+    done
+  done;
+  (* the pristine image still opens *)
+  write_file path image;
+  (match Xqp.Session.open_db path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "pristine store refused: %s" (Xqp.Error.message e));
+  Sys.remove path
 
 let prop_path_summary_counts =
   QCheck2.Test.make ~name:"path summary counts = naive scan" ~count:100 gen_tree_with_attrs
@@ -990,6 +1148,9 @@ let suite =
         qcheck prop_store_roundtrip;
         qcheck prop_store_matches_document_ranks;
         qcheck prop_store_splice_equals_tree_edit;
+        qcheck prop_to_document_equals_round_trip;
+        Alcotest.test_case "document builder refuses non-trees" `Quick
+          test_document_builder_refuses_non_trees;
       ] );
     ( "storage.store_io",
       [
@@ -998,6 +1159,7 @@ let suite =
         Alcotest.test_case "directory sections + tamper" `Quick test_store_io_directory_sections;
         Alcotest.test_case "path summary section + tamper" `Quick
           test_store_io_path_summary_section;
+        Alcotest.test_case "open refuses corrupt stores" `Quick test_open_refuses_corrupt_stores;
         qcheck prop_store_io_roundtrip;
         qcheck prop_store_io_directory_roundtrip;
         qcheck prop_path_summary_counts;

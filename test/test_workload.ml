@@ -181,6 +181,56 @@ let test_queries_nonempty_results () =
       if n = 0 then Alcotest.failf "%s returns nothing" q.Queries.id)
     (Queries.auction_paths @ Queries.auction_complexity_sweep)
 
+(* Every engine over a store reopened from disk answers, byte for byte,
+   what the same XML answers when parsed: the one-pass open (document
+   straight from the packed sections, statistics from the packed summary,
+   NoK on the loaded store) changes nothing an engine can see. *)
+let test_reopened_store_differential () =
+  let module Session = Xqp.Session in
+  let module Executor = Xqp_physical.Executor in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" what (Xqp.Error.message e)
+  in
+  let texts =
+    List.map (fun q -> q.Queries.xpath) (Queries.auction_paths @ Queries.auction_complexity_sweep)
+  in
+  let engines = Executor.Auto :: Executor.Reference :: Executor.all_strategies in
+  let answer session engine q =
+    let r = ok q (Session.run ~engine ~use_cache:false session q) in
+    List.map (Session.node_string session) r.Session.nodes
+  in
+  List.iter
+    (fun (label, tree) ->
+      let parsed = ok label (Session.of_string (Serializer.to_string tree)) in
+      let path = Filename.temp_file "xqp_reopen" ".xqdb" in
+      Xqp_storage.Store_io.save
+        (Xqp_storage.Succinct_store.of_document (Session.document parsed))
+        path;
+      let reopened = ok path (Session.open_db path) in
+      List.iter
+        (fun q ->
+          let expected = answer parsed Executor.Reference q in
+          List.iter
+            (fun engine ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s %s %s" label q (Executor.strategy_name engine))
+                expected (answer reopened engine q))
+            engines)
+        texts;
+      (* NoK reads the store the open loaded, not a re-linearized copy *)
+      let pager = Xqp_storage.Pager.create () in
+      let exec = Executor.of_file ~pager path in
+      check_bool "loaded store reused" true
+        (match Xqp_storage.Succinct_store.pager (Executor.store exec) with
+        | Some p -> p == pager
+        | None -> false);
+      Sys.remove path)
+    [
+      ("auction:3000", Gen_auction.document ~scale:3000 ());
+      ("bib", Gen_bib.document ~books:40 ());
+    ]
+
 let suite =
   [
     ( "workload.prng",
@@ -201,5 +251,7 @@ let suite =
       [
         Alcotest.test_case "wellformed" `Quick test_queries_wellformed;
         Alcotest.test_case "nonempty results" `Quick test_queries_nonempty_results;
+        Alcotest.test_case "reopened store = parsed XML, every engine" `Quick
+          test_reopened_store_differential;
       ] );
   ]
